@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 namespace hido {
 
@@ -36,12 +37,20 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (!in) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  // Reads straight into one buffer sized up front; a pipe has no size and
+  // simply grows it.
+  std::string content;
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) content.reserve(size);
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    content.append(chunk, static_cast<size_t>(in.gcount()));
+  }
   if (in.bad()) {
     return Status::IoError("read failure: " + path);
   }
-  return buffer.str();
+  return content;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {

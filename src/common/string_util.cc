@@ -24,6 +24,21 @@ std::vector<std::string> Split(std::string_view text, char delim) {
   return fields;
 }
 
+void SplitViews(std::string_view text, char delim,
+                std::vector<std::string_view>* out) {
+  out->clear();
+  size_t start = 0;
+  while (true) {
+    const size_t pos = text.find(delim, start);
+    if (pos == std::string_view::npos) {
+      out->push_back(text.substr(start));
+      return;
+    }
+    out->push_back(text.substr(start, pos - start));
+    start = pos + 1;
+  }
+}
+
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
@@ -144,15 +159,26 @@ Result<uint64_t> ParseUInt(std::string_view text) {
   return value;
 }
 
+namespace {
+
+// Case-insensitive equality against a lower-case ASCII `word`, in place.
+bool EqualsLower(std::string_view text, std::string_view word) {
+  if (text.size() != word.size()) return false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(text[i])) != word[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 bool IsMissingToken(std::string_view text) {
   const std::string_view t = Trim(text);
   if (t.empty() || t == "?") return true;
-  std::string lower;
-  lower.reserve(t.size());
-  for (char c : t) {
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return lower == "na" || lower == "nan" || lower == "null";
+  return EqualsLower(t, "na") || EqualsLower(t, "nan") ||
+         EqualsLower(t, "null");
 }
 
 std::string StrFormat(const char* fmt, ...) {

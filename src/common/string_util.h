@@ -16,6 +16,11 @@ namespace hido {
 /// empty input yields a single empty field (CSV semantics).
 std::vector<std::string> Split(std::string_view text, char delim);
 
+/// Split without copying: fills `out` (cleared first) with views into
+/// `text`, which must outlive them. Same field semantics as Split.
+void SplitViews(std::string_view text, char delim,
+                std::vector<std::string_view>* out);
+
 /// Removes ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
 
@@ -39,7 +44,7 @@ Result<int64_t> ParseInt(std::string_view text);
 Result<uint64_t> ParseUInt(std::string_view text);
 
 /// True if `text` equals "" / "?" / "na" / "nan" / "null" case-insensitively
-/// — the missing-value spellings accepted by the CSV reader.
+/// — the missing-value spellings accepted by the CSV reader. Allocation-free.
 bool IsMissingToken(std::string_view text);
 
 /// printf-style formatting into a std::string.

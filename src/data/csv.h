@@ -31,10 +31,9 @@ struct CsvReadOptions {
   /// Reject rows wider than this many columns. 0 disables.
   size_t max_columns = 65536;
   /// Cooperative cancellation (nullable; must outlive the read), polled
-  /// every few thousand parsed lines. A fired token fails the read with
-  /// kCancelled/kDeadlineExceeded — parsing is all-or-nothing, so there is
-  /// no partial dataset to salvage. Shared by the numeric and the
-  /// categorical-encoding ingest paths.
+  /// every 1024 lines. A fired token fails the read with kCancelled or
+  /// kDeadlineExceeded — parsing is all-or-nothing, so there is no partial
+  /// dataset to salvage. Shared by ReadCsv and ReadCsvEncoded.
   const StopToken* stop = nullptr;
 };
 
@@ -55,16 +54,11 @@ struct CsvWriteOptions {
 Result<Dataset> ReadCsv(const std::string& path,
                         const CsvReadOptions& options = {});
 
-/// Parses CSV text directly (same semantics as ReadCsv).
+/// Parses CSV text directly (same semantics as ReadCsv). Without a header,
+/// columns are named "c<file column index>", label column included in the
+/// count.
 Result<Dataset> ReadCsvString(const std::string& text,
                               const CsvReadOptions& options = {});
-
-/// Validates one split line against the structural caps in `options`:
-/// embedded NUL bytes, over-long fields, and over-wide rows all fail with
-/// 1-based line/column context. Shared by every CSV ingest path (numeric
-/// and categorical-encoding) so they reject binary garbage identically.
-Status CheckCsvFields(const std::vector<std::string>& fields, size_t line_no,
-                      const CsvReadOptions& options);
 
 /// Writes `data` to `path`.
 Status WriteCsv(const Dataset& data, const std::string& path,

@@ -40,6 +40,30 @@ Dataset Dataset::FromRows(const std::vector<std::vector<double>>& rows,
   return ds;
 }
 
+Dataset Dataset::FromColumns(size_t num_rows,
+                             std::vector<std::vector<double>> columns,
+                             std::vector<std::vector<uint8_t>> missing,
+                             std::vector<std::string> column_names) {
+  const size_t width = columns.size();
+  HIDO_CHECK_MSG(missing.size() == width, "missing.size()=%zu but width=%zu",
+                 missing.size(), width);
+  HIDO_CHECK_MSG(column_names.empty() || column_names.size() == width,
+                 "column_names.size()=%zu but width=%zu", column_names.size(),
+                 width);
+  Dataset ds(width);
+  ds.num_rows_ = num_rows;
+  for (size_t c = 0; c < width; ++c) {
+    HIDO_CHECK_MSG(columns[c].size() == num_rows,
+                   "column %zu has %zu rows, expected %zu", c,
+                   columns[c].size(), num_rows);
+    HIDO_CHECK(missing[c].empty() || missing[c].size() == num_rows);
+  }
+  ds.columns_ = std::move(columns);
+  ds.missing_ = std::move(missing);
+  if (!column_names.empty()) ds.column_names_ = std::move(column_names);
+  return ds;
+}
+
 void Dataset::Set(size_t row, size_t col, double value) {
   HIDO_CHECK(row < num_rows_ && col < columns_.size());
   HIDO_CHECK_MSG(std::isfinite(value), "use SetMissing for absent cells");

@@ -40,6 +40,16 @@ class Dataset {
   static Dataset FromRows(const std::vector<std::vector<double>>& rows,
                           std::vector<std::string> column_names = {});
 
+  /// Builds a dataset by taking ownership of whole columns. Every column
+  /// holds `num_rows` values (the count matters on its own when there are
+  /// no columns); `missing[c]` is empty (no missing cell) or one byte per
+  /// row with 1 = missing, and missing cells must hold NaN. `column_names`
+  /// is empty (default names) or one per column.
+  static Dataset FromColumns(size_t num_rows,
+                             std::vector<std::vector<double>> columns,
+                             std::vector<std::vector<uint8_t>> missing,
+                             std::vector<std::string> column_names = {});
+
   size_t num_rows() const { return num_rows_; }       ///< rows n
   size_t num_cols() const { return columns_.size(); }  ///< attributes d
 

@@ -40,10 +40,11 @@ struct EncodedDataset {
   std::string Decode(size_t column, double code) const;
 };
 
-/// Reads a CSV like ReadCsv, but instead of failing on non-numeric fields,
-/// treats every column containing one as categorical and ordinal-encodes
-/// it. Missing tokens stay missing in either column kind. Options'
-/// label_column semantics match ReadCsv (labels must still be integers).
+/// Reads a CSV like ReadCsv (the same one-pass scanner), but instead of
+/// failing on non-numeric fields, treats every column containing one as
+/// categorical and ordinal-encodes it. Missing tokens stay missing in
+/// either column kind. Options' label_column semantics match ReadCsv
+/// (labels must still be integers).
 Result<EncodedDataset> ReadCsvEncoded(const std::string& path,
                                       const CsvReadOptions& options = {});
 

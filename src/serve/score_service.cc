@@ -162,7 +162,8 @@ std::string ScoreService::HandleScore(const std::string& args) {
   if (snapshot == nullptr) return "err no model published";
   const size_t dims = snapshot->num_dims();
 
-  const std::vector<std::string> fields = Split(args, ',');
+  std::vector<std::string_view> fields;
+  SplitViews(args, ',', &fields);
   if (fields.size() != dims) {
     return StrFormat("err expected %zu values, got %zu", dims,
                      fields.size());

@@ -25,6 +25,27 @@ TEST(SplitTest, NoDelimiter) {
   EXPECT_EQ(Split("abc", ','), (std::vector<std::string>{"abc"}));
 }
 
+TEST(SplitViewsTest, MatchesSplit) {
+  std::vector<std::string_view> views{"stale"};
+  for (const char* text : {"a,b,c", ",a,,b,", "", "abc"}) {
+    SplitViews(text, ',', &views);
+    const std::vector<std::string> copies = Split(text, ',');
+    ASSERT_EQ(views.size(), copies.size()) << text;
+    for (size_t i = 0; i < views.size(); ++i) {
+      EXPECT_EQ(views[i], copies[i]) << text;
+    }
+  }
+}
+
+TEST(SplitViewsTest, ViewsPointIntoTheInput) {
+  const std::string text = "xy;z";
+  std::vector<std::string_view> views;
+  SplitViews(text, ';', &views);
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_EQ(views[0].data(), text.data());
+  EXPECT_EQ(views[1].data(), text.data() + 3);
+}
+
 TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim("  x y  "), "x y");
   EXPECT_EQ(Trim("\t\r\nabc\n"), "abc");
@@ -139,6 +160,17 @@ TEST(IsMissingTokenTest, RecognizedSpellings) {
   EXPECT_TRUE(IsMissingToken("null"));
   EXPECT_FALSE(IsMissingToken("0"));
   EXPECT_FALSE(IsMissingToken("n/a"));
+}
+
+TEST(IsMissingTokenTest, CaseInsensitiveWholeTokenOnly) {
+  for (const char* token : {"na", "nA", "Na", "NAN", "nAn", "NULL", "NuLl",
+                            "\tnull\r", " ? "}) {
+    EXPECT_TRUE(IsMissingToken(token)) << token;
+  }
+  for (const char* token : {"n", "nab", "nulls", "nul", "??", "na n", "-nan",
+                            "1.5", "nanx", "none"}) {
+    EXPECT_FALSE(IsMissingToken(token)) << token;
+  }
 }
 
 TEST(StrFormatTest, FormatsLikePrintf) {

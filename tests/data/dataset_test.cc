@@ -37,6 +37,32 @@ TEST(DatasetTest, FromRows) {
   EXPECT_EQ(ds.ColumnName(1), "b");
 }
 
+TEST(DatasetTest, FromColumnsMatchesAppendRow) {
+  const Dataset columns = Dataset::FromColumns(
+      2, {{1.0, kNaN}, {3.0, 4.0}}, {{0, 1}, {}}, {"a", "b"});
+  Dataset rows(std::vector<std::string>{"a", "b"});
+  rows.AppendRow({1.0, 3.0});
+  rows.AppendRow({kNaN, 4.0});
+  ASSERT_EQ(columns.num_rows(), 2u);
+  ASSERT_EQ(columns.num_cols(), 2u);
+  for (size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(columns.ColumnName(c), rows.ColumnName(c));
+    EXPECT_EQ(columns.PresentCount(c), rows.PresentCount(c));
+    for (size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(columns.IsMissing(r, c), rows.IsMissing(r, c));
+      EXPECT_EQ(columns.GetOr(r, c, -1.0), rows.GetOr(r, c, -1.0));
+    }
+  }
+}
+
+TEST(DatasetTest, FromColumnsKeepsRowCountWithoutColumns) {
+  Dataset ds = Dataset::FromColumns(3, {}, {});
+  EXPECT_EQ(ds.num_rows(), 3u);
+  EXPECT_EQ(ds.num_cols(), 0u);
+  ds.SetLabels({0, 1, 0});
+  EXPECT_TRUE(ds.has_labels());
+}
+
 TEST(DatasetTest, NanInAppendRowBecomesMissing) {
   Dataset ds(2);
   ds.AppendRow({1.0, kNaN});

@@ -137,6 +137,86 @@ TEST(EncodingTest, NoHeaderMode) {
   ASSERT_EQ(r.value().categorical.size(), 1u);
 }
 
+// Both readers run one scanner, so their errors and names must agree.
+TEST(EncodingTest, BadLabelErrorNamesFileLineAndColumnInBothReaders) {
+  CsvReadOptions opts;
+  opts.label_column = 0;
+  const std::string text = "class,x\n\n1,1\n2,2\nsick,3\n";
+  const Status encoded = ReadCsvEncodedString(text, opts).status();
+  const Status numeric = ReadCsvString(text, opts).status();
+  for (const Status& status : {encoded, numeric}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.message().find("line 5 column 1"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("'sick'"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(encoded.message(), numeric.message());
+}
+
+TEST(EncodingTest, NoHeaderNamesAreFileColumnIndicesInBothReaders) {
+  CsvReadOptions opts;
+  opts.has_header = false;
+  opts.label_column = 0;
+  const std::string text = "1,5,6\n0,7,8\n";
+  const Result<EncodedDataset> encoded = ReadCsvEncodedString(text, opts);
+  const Result<Dataset> numeric = ReadCsvString(text, opts);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  ASSERT_TRUE(numeric.ok()) << numeric.status().ToString();
+  for (const Dataset* ds : {&encoded.value().data, &numeric.value()}) {
+    ASSERT_EQ(ds->num_cols(), 2u);
+    EXPECT_EQ(ds->ColumnName(0), "c1");
+    EXPECT_EQ(ds->ColumnName(1), "c2");
+    EXPECT_EQ(ds->FindColumn("c2"), 1u);
+    EXPECT_EQ(ds->Label(1), 0);
+  }
+}
+
+TEST(EncodingTest, StrictReaderRejectsWhatTheEncoderEncodes) {
+  const std::string text = "a,b\n1,x\n2,y\n";
+  const Result<Dataset> numeric = ReadCsvString(text);
+  ASSERT_FALSE(numeric.ok());
+  EXPECT_EQ(numeric.status().code(), StatusCode::kParseError);
+  EXPECT_NE(numeric.status().message().find("line 2 column 2"),
+            std::string::npos)
+      << numeric.status().ToString();
+  const Result<EncodedDataset> encoded = ReadCsvEncodedString(text);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  ASSERT_EQ(encoded.value().categorical.size(), 1u);
+  EXPECT_EQ(encoded.value().categorical[0].column, 1u);
+}
+
+TEST(EncodingTest, CategoryValuesAreTrimmedAndCrlfStripped) {
+  const Result<EncodedDataset> r =
+      ReadCsvEncodedString("kind,v\r\n red ,1\r\nblue,2\r\nred\t,3\r\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().categorical.size(), 1u);
+  EXPECT_EQ(r.value().categorical[0].values,
+            (std::vector<std::string>{"blue", "red"}));
+  EXPECT_DOUBLE_EQ(r.value().data.Get(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(r.value().data.Get(2, 0), 1.0);
+  EXPECT_DOUBLE_EQ(r.value().data.Get(2, 1), 3.0);
+}
+
+TEST(EncodingTest, BlankLineAndMissingHeaderFailInBothReaders) {
+  CsvReadOptions strict;
+  strict.skip_blank_lines = false;
+  const std::string blank = "a\n1\n\n2\n";
+  for (const Status& status : {ReadCsvEncodedString(blank, strict).status(),
+                               ReadCsvString(blank, strict).status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.message().find("blank line 3"), std::string::npos)
+        << status.ToString();
+  }
+  for (const Status& status : {ReadCsvEncodedString("\n\n").status(),
+                               ReadCsvString("\n\n").status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.message().find("missing header"), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(EncodingTest, StopTokenFailpointAbortsEncodedRead) {
   std::string text = "cat,v\n";
   for (int i = 0; i < 5000; ++i) text += "x,1\n";

@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "data/generators/synthetic.h"
 #include "grid/cube_counter.h"
-#include "grid/shared_cube_cache.h"
 #include "obs/telemetry.h"
 
 namespace hido {
@@ -177,20 +176,15 @@ void BM_CountCached(benchmark::State& state) {
 BENCHMARK(BM_CountCached);
 
 // ---------------------------------------------------------------------------
-// GA-shaped cache-mode ablation: shared vs private vs off, prefix on/off.
+// GA-shaped memo ablation: per-counter memo vs off.
 //
 // The workload models the evolutionary search's evaluation loop: a pool of
 // k-cubes where many queries share a (k-1)-prefix and differ only in the
 // last condition (what crossover/mutation produce), and W concurrent
-// "restarts" that each evaluate the *same* recurring pool with a private
-// per-worker CubeCounter — exactly the shape of the parallel search. With
-// private caches every worker recomputes every distinct cube once; one
-// SharedCubeCache makes each distinct cube cost one computation per run,
-// and prefix memoization finishes each same-prefix sibling with a single
-// AND+popcount. items/sec counts evaluated queries, so the shared-cache
-// win shows up even on one CPU: less total work, not more parallelism.
-
-enum class BenchCacheMode { kOff, kPrivate, kShared, kSharedNoPrefix };
+// "restarts" that each evaluate the *same* recurring pool with their own
+// CubeCounter — exactly the shape of the parallel search. items/sec counts
+// evaluated queries. This pool favours memoization more than real searches
+// do; end-to-end numbers live in DESIGN.md "Cube-count memo".
 
 // `num_prefixes` groups of `variants` queries; within a group the first
 // k-1 conditions are identical and the last condition (on the largest
@@ -223,27 +217,19 @@ std::vector<std::vector<DimRange>> MakeGaQueries(const GridModel& grid,
   return queries;
 }
 
-void BM_GaWorkload(benchmark::State& state, BenchCacheMode mode) {
+void BM_GaWorkload(benchmark::State& state, bool memo) {
   const size_t workers = static_cast<size_t>(state.range(0));
   // Large-n so the AND chains dominate the per-query bookkeeping (at small
   // n the memo-table probes cost as much as the intersections they save).
   BenchFixture fixture(100000, 32, 10);
   const auto queries = MakeGaQueries(fixture.grid, 5, 64, 8);
+  CubeCounter::Options options;
+  if (!memo) options.cache_capacity = 0;
   for (auto _ : state) {
-    SharedCubeCache::Options cache_options;
-    if (mode == BenchCacheMode::kSharedNoPrefix) {
-      cache_options.prefix_capacity = 0;
-    }
-    // Fresh per iteration: each iteration is one "search" starting cold.
-    SharedCubeCache shared(cache_options);
+    // Fresh counters per iteration: each iteration is one "search"
+    // starting cold.
     std::vector<uint64_t> sums(workers, 0);
     ParallelFor(workers, workers, [&](size_t task, size_t /*worker*/) {
-      CubeCounter::Options options;
-      if (mode == BenchCacheMode::kOff) {
-        options.cache_capacity = 0;
-      } else if (mode != BenchCacheMode::kPrivate) {
-        options.shared_cache = &shared;
-      }
       CubeCounter counter(fixture.grid, options);
       uint64_t sum = 0;
       for (const auto& query : queries) sum += counter.Count(query);
@@ -255,44 +241,25 @@ void BM_GaWorkload(benchmark::State& state, BenchCacheMode mode) {
                           static_cast<int64_t>(workers * queries.size()));
 }
 
-void BM_GaCacheOff(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kOff);
-}
-void BM_GaCachePrivate(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kPrivate);
-}
-void BM_GaCacheShared(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kShared);
-}
-void BM_GaCacheSharedNoPrefix(benchmark::State& state) {
-  BM_GaWorkload(state, BenchCacheMode::kSharedNoPrefix);
-}
-BENCHMARK(BM_GaCacheOff)->Arg(1)->Arg(2)->Arg(4);
+void BM_GaCachePrivate(benchmark::State& state) { BM_GaWorkload(state, true); }
+void BM_GaCacheOff(benchmark::State& state) { BM_GaWorkload(state, false); }
 BENCHMARK(BM_GaCachePrivate)->Arg(1)->Arg(2)->Arg(4);
-BENCHMARK(BM_GaCacheShared)->Arg(1)->Arg(2)->Arg(4);
-BENCHMARK(BM_GaCacheSharedNoPrefix)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_GaCacheOff)->Arg(1)->Arg(2)->Arg(4);
 
 // ---------------------------------------------------------------------------
 // Ensemble fan-out: E members run SEQUENTIALLY (the EnsembleDetector
 // contract), each with its own CubeCounter over a heavily overlapping
-// query pool. With private caches, member i+1 recomputes everything member
-// i already counted; with one SharedCubeCache, later members start fully
-// warm. items/sec counts member-evaluated queries, so shared-vs-private at
-// the same E is the ensemble's cache amplification, and scaling E shows
-// the marginal member approaching cache-hit cost.
+// query pool. items/sec counts member-evaluated queries, so scaling E
+// shows that the marginal member costs one cold search.
 
-void BM_EnsembleWorkload(benchmark::State& state, bool shared_cache) {
+void BM_Ensemble(benchmark::State& state) {
   const size_t members = static_cast<size_t>(state.range(0));
   BenchFixture fixture(100000, 32, 10);
   const auto queries = MakeGaQueries(fixture.grid, 5, 64, 8);
   for (auto _ : state) {
-    // Fresh per iteration: each iteration is one cold ensemble fit.
-    SharedCubeCache shared;
     uint64_t sum = 0;
     for (size_t member = 0; member < members; ++member) {
-      CubeCounter::Options options;
-      if (shared_cache) options.shared_cache = &shared;
-      CubeCounter counter(fixture.grid, options);
+      CubeCounter counter(fixture.grid);
       for (const auto& query : queries) sum += counter.Count(query);
     }
     benchmark::DoNotOptimize(sum);
@@ -300,15 +267,7 @@ void BM_EnsembleWorkload(benchmark::State& state, bool shared_cache) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(members * queries.size()));
 }
-
-void BM_EnsembleSharedCache(benchmark::State& state) {
-  BM_EnsembleWorkload(state, true);
-}
-void BM_EnsemblePrivateCaches(benchmark::State& state) {
-  BM_EnsembleWorkload(state, false);
-}
-BENCHMARK(BM_EnsembleSharedCache)->Arg(1)->Arg(3)->Arg(5);
-BENCHMARK(BM_EnsemblePrivateCaches)->Arg(1)->Arg(3)->Arg(5);
+BENCHMARK(BM_Ensemble)->Arg(1)->Arg(3)->Arg(5);
 
 void BM_GridBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

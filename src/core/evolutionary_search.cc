@@ -51,10 +51,8 @@ bool OfferPopulation(const std::vector<Individual>& population,
 // (stats + bitset scratch are single-threaded state) and objective per
 // worker, all over the shared read-only grid. Worker 0 is the restart's
 // own base objective. The counters are built from the base counter's
-// Options, so when the caller attached a SharedCubeCache every worker's
-// counter memoizes through that one concurrent table (per-worker Stats
-// stay private scratch and are absorbed at the end); without one, each
-// worker keeps a private memo table.
+// Options, so each worker keeps its own memo table of the same capacity
+// (per-worker Stats stay private scratch and are absorbed at the end).
 class EvalScratch {
  public:
   EvalScratch(SparsityObjective& base, size_t workers) {
@@ -507,7 +505,7 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
   // Publish this run's totals to the process-wide registry once, at
   // aggregation — never from the hot loops. All search.* counters are
   // deterministic for a fixed seed at any thread count; the counter.*
-  // strategy/cache breakdowns are not (private caches restart cold), only
+  // strategy/cache breakdowns are not (per-worker memos restart cold), only
   // their sum counter.queries is.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -532,10 +530,6 @@ EvolutionResult EvolutionarySearch(SparsityObjective& objective,
     registry.GetCounter("counter.queries").Add(counter_totals.queries);
     registry.GetCounter("counter.cache_hits")
         .Add(counter_totals.cache_hits);
-    registry.GetCounter("counter.shared_hits")
-        .Add(counter_totals.shared_hits);
-    registry.GetCounter("counter.prefix_counts")
-        .Add(counter_totals.prefix_counts);
     registry.GetCounter("counter.bitset_counts")
         .Add(counter_totals.bitset_counts);
     registry.GetCounter("counter.posting_counts")

@@ -13,9 +13,20 @@
 
 #include "common/bitset.h"
 #include "grid/grid_model.h"
-#include "grid/shared_cube_cache.h"
 
 namespace hido {
+
+/// A cube's identity: one uint64 per condition, (dim << 32) | cell, sorted
+/// ascending, so the key is insensitive to condition order.
+using CubeKey = std::vector<uint64_t>;
+
+/// FNV-1a over the packed conditions (the memo table's hash).
+struct CubeKeyHash {
+  size_t operator()(const CubeKey& key) const;  ///< FNV-1a over the ranges
+};
+
+/// Packs `conditions` into a sorted CubeKey.
+CubeKey PackCubeKey(const std::vector<DimRange>& conditions);
 
 /// How CubeCounter intersects range memberships.
 enum class CountingStrategy {
@@ -28,65 +39,50 @@ enum class CountingStrategy {
 /// Counts points covered by conjunctions of grid conditions.
 ///
 /// Threading contract: one CubeCounter instance serves one thread (its
-/// statistics, private cache, and scratch bitset are unsynchronized
-/// mutable state). Concurrent searches use one counter per worker, and the
-/// workers' counters may all attach to a single SharedCubeCache
-/// (Options::shared_cache) — the shared table is lock-striped and
-/// thread-safe, and it *replaces* the private per-counter memo table so
-/// every worker reuses every other worker's computed counts.
+/// statistics, memo table, and scratch bitset are unsynchronized mutable
+/// state). Concurrent searches use one counter per worker, each with its
+/// own memo.
 ///
 /// Determinism: a cube count is a pure function of the grid and the
-/// conditions, so caching (private, shared, or off) can change which code
-/// path produces a count but never its value. Results are bit-identical
-/// across cache configurations and thread counts; only speed and the
-/// serving-path statistics below move. See DESIGN.md "Shared cube-count
-/// cache" for the full argument.
+/// conditions, so the memo (on, or off with cache_capacity = 0) can change
+/// which code path produces a count but never its value. Results are
+/// bit-identical with and without it and across thread counts; only speed
+/// and the serving-path statistics below move. See DESIGN.md "Cube-count
+/// memo" for why there is exactly one memo policy.
 /// Counts dataset points falling in grid cubes under a chosen strategy.
 class CubeCounter {
  public:
   /// Strategy selection and cache sizing knobs.
   struct Options {
     CountingStrategy strategy = CountingStrategy::kAuto;  ///< counting path
-    /// Maximum privately cached cubes; the private cache is wholesale-
-    /// cleared when full (0 disables private caching). Ignored while
-    /// `shared_cache` is attached.
+    /// Maximum memoized cubes; the memo table is wholesale-cleared when
+    /// full (0 disables memoization, for one-shot lookups).
     size_t cache_capacity = 1u << 18;
-    /// When set, memoization goes through this shared table instead of the
-    /// private cache (read-through/write-through), and k-cube queries may
-    /// be finished from a cached (k-1)-prefix intersection with a single
-    /// AND+popcount. Non-owning; must outlive the counter. Copying these
-    /// Options propagates the attachment, which is how a search hands one
-    /// shared cache to all of its per-worker counters.
-    SharedCubeCache* shared_cache = nullptr;
   };
 
   /// Counters for introspection and the micro benchmarks. Invariant:
   ///
-  ///   queries == cache_hits + shared_hits + prefix_counts
-  ///              + bitset_counts + posting_counts + naive_counts
+  ///   queries == cache_hits + bitset_counts + posting_counts
+  ///              + naive_counts
   ///
-  /// — every query is served from exactly one source: the private cache,
-  /// the shared cache's count table, a cached prefix finished by one
-  /// AND+popcount, or a full computation by exactly one strategy
-  /// (including queries made through CountUncached).
+  /// — every query is served from exactly one source: the memo table, or
+  /// a full computation by exactly one strategy (including queries made
+  /// through CountUncached).
   ///
-  /// A wholesale clear of the full private cache costs `cache_evictions`
+  /// A wholesale clear of the full memo costs `cache_evictions`
   /// recomputations in the worst case (every dropped entry that would have
   /// been re-queried); `cache_clears` counts the clear events themselves
   /// (capacity overflows plus explicit ClearCache calls), so
   /// cache_evictions / cache_clears is the average table size at clear
-  /// time. Shared-cache eviction accounting lives in SharedCubeCache::Stats
-  /// (it is cache-wide, not per-worker).
+  /// time.
   struct Stats {
     uint64_t queries = 0;         ///< total Count() calls on any path
-    uint64_t cache_hits = 0;      ///< served by the private memo table
-    uint64_t shared_hits = 0;     ///< served by the shared count table
-    uint64_t prefix_counts = 0;   ///< finished from a cached (k-1)-prefix
+    uint64_t cache_hits = 0;      ///< served by the memo table
     uint64_t bitset_counts = 0;   ///< answered by bitset intersection
     uint64_t posting_counts = 0;  ///< answered by posting-list merge
     uint64_t naive_counts = 0;    ///< answered by a full point scan
-    uint64_t cache_evictions = 0;  ///< private entries dropped by clears
-    uint64_t cache_clears = 0;     ///< private wholesale-clear events
+    uint64_t cache_evictions = 0;  ///< memo entries dropped by clears
+    uint64_t cache_clears = 0;     ///< memo wholesale-clear events
 
     /// Element-wise accumulation (for merging per-thread counters).
     Stats& operator+=(const Stats& other);
@@ -117,8 +113,7 @@ class CubeCounter {
   /// counter, so totals stay truthful under concurrency.
   void AbsorbStats(const Stats& other) { stats_ += other; }
 
-  /// Drops the private memo table (counted in cache_evictions /
-  /// cache_clears). Does not touch an attached shared cache.
+  /// Drops the memo table (counted in cache_evictions / cache_clears).
   void ClearCache();
 
   const GridModel& grid() const { return *grid_; }  ///< the indexed grid
@@ -127,17 +122,10 @@ class CubeCounter {
  private:
   size_t Dispatch(const std::vector<DimRange>& conditions,
                   CountingStrategy strategy);
-  /// As Dispatch, but first tries to finish the cube from a shared cached
-  /// (k-1)-prefix container, and stores the prefix it computes on a miss
-  /// (in whichever representation — array or bitmap — it lands in).
-  size_t DispatchWithPrefix(const std::vector<DimRange>& conditions,
-                            const CubeKey& key, CountingStrategy strategy);
   size_t CountBitset(const std::vector<DimRange>& conditions);
   size_t CountPostings(const std::vector<DimRange>& conditions) const;
   size_t CountNaive(const std::vector<DimRange>& conditions) const;
   CountingStrategy Choose(const std::vector<DimRange>& conditions) const;
-  /// The membership container of one packed key element.
-  const PostingContainer& ContainerOf(uint64_t packed) const;
 
   const GridModel* grid_;
   Options options_;

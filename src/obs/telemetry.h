@@ -10,11 +10,11 @@
 //
 // Determinism contract: for a fixed seed and complete run, the `config`,
 // `counters`, `histograms`, and `results` sections are byte-identical at
-// any thread count *and any cube cache mode*, *except* instruments
-// declared `variant` in the machine-readable contract block below —
-// scheduling-dependent breakdowns (which cube-counter path served a
-// query, the shared-cache family, the kNN scored/pruned split, pool.*
-// gauges) and the client-dependent serve.* family. counter.queries itself
+// any thread count *and with or without the cube-count memo*, *except*
+// instruments declared `variant` in the machine-readable contract block
+// below — scheduling-dependent breakdowns (which cube-counter path served
+// a query, the kNN scored/pruned split, pool.* gauges) and the
+// client-dependent serve.* family. counter.queries itself
 // is invariant — every query increments it exactly once no matter which
 // path serves it. The serve.* family is client-dependent rather than
 // thread-dependent: deterministic for a scripted client schedule (the CI
@@ -51,16 +51,7 @@
 //   counter counter.cache_hits variant serving-path breakdown
 //   counter counter.naive_counts variant serving-path breakdown
 //   counter counter.posting_counts variant serving-path breakdown
-//   counter counter.prefix_counts variant serving-path breakdown
 //   counter counter.queries invariant one increment per query on every path
-//   counter counter.shared_hits variant serving-path breakdown
-//   counter cube.cache.shared.evictions variant worker-interleaving dependent
-//   counter cube.cache.shared.hits variant worker-interleaving dependent
-//   counter cube.cache.shared.insertions variant worker-interleaving dependent
-//   counter cube.cache.shared.misses variant worker-interleaving dependent
-//   counter cube.cache.shared.prefix_evictions variant worker-interleaving dependent
-//   counter cube.cache.shared.prefix_hits variant worker-interleaving dependent
-//   counter cube.cache.shared.prefix_insertions variant worker-interleaving dependent
 //   counter data.columns_encoded invariant
 //   counter data.csv_loads invariant
 //   counter data.csv_rows invariant
@@ -95,7 +86,6 @@
 //   counter snapshot.v2.loads variant client-dependent (loads count swaps)
 //   counter snapshot.v2.saves invariant one per ensemble serialization
 //   gauge cube.kernel.<kernel> variant which counting kernel served the run
-//   gauge ensemble.cache.hit_amplification_pct variant worker-interleaving dependent
 //   gauge pool.queue_high_water variant scheduling-dependent
 //   gauge pool.tasks_executed variant scheduling-dependent
 //   gauge pool.workers variant configuration of the shared pool at capture

@@ -1,8 +1,8 @@
 // The determinism contract, end to end: the detection report is a pure
 // function of (data, seed, logical configuration). Counting kernels,
-// container thresholds, thread counts, and cache modes change which code
-// computes each count — never the count — so the serialized report must
-// be byte-identical across all of them.
+// container thresholds, thread counts, and the cube-count memo change
+// which code computes each count — never the count — so the serialized
+// report must be byte-identical across all of them.
 
 #include <string>
 #include <vector>
@@ -11,8 +11,10 @@
 
 #include "common/bitset_kernels.h"
 #include "core/detector.h"
+#include "core/objective.h"
 #include "core/report_io.h"
 #include "data/generators/synthetic.h"
+#include "grid/cube_counter.h"
 #include "grid/grid_model.h"
 
 namespace hido {
@@ -35,7 +37,35 @@ std::string RunAndSerialize(const Dataset& data, const DetectorConfig& config) {
   return ProjectionsToCsv(result.report) + OutliersToCsv(result.report);
 }
 
-// Every (kernel, container threshold, threads, cache mode) variant must
+// Detect's evolutionary pipeline spelled out at the counter level, so the
+// test can choose the CubeCounter options (Detect always runs the memo).
+std::string RunWithCounterOptions(const Dataset& data,
+                                  const DetectorConfig& config,
+                                  const CubeCounter::Options& copts) {
+  GridModel::Options gopts;
+  gopts.phi = config.phi;
+  gopts.mode = config.binning;
+  gopts.array_threshold = config.container_threshold;
+  const GridModel grid = GridModel::Build(data, gopts);
+  CubeCounter counter(grid, copts);
+  SparsityObjective objective(counter, config.expectation);
+  EvolutionaryOptions eopts = config.evolution;
+  eopts.target_dim = config.target_dim;
+  eopts.num_projections = config.num_projections;
+  eopts.seed = config.seed;
+  if (config.num_threads != 0) eopts.num_threads = config.num_threads;
+  const OutlierReport report =
+      ExtractOutliers(grid, EvolutionarySearch(objective, eopts).best);
+  return ProjectionsToCsv(report) + OutliersToCsv(report);
+}
+
+CubeCounter::Options MemoOff() {
+  CubeCounter::Options copts;
+  copts.cache_capacity = 0;
+  return copts;
+}
+
+// Every (kernel, container threshold, threads, memo on/off) variant must
 // reproduce the baseline report byte for byte.
 TEST(ReportIdentityTest, InvariantAcrossKernelsContainersThreadsAndCaches) {
   SubspaceOutlierConfig gen;
@@ -73,31 +103,28 @@ TEST(ReportIdentityTest, InvariantAcrossKernelsContainersThreadsAndCaches) {
         << "threads " << threads;
   }
 
-  // Cache-mode axis.
-  for (CubeCacheMode mode :
-       {CubeCacheMode::kPrivate, CubeCacheMode::kShared, CubeCacheMode::kOff}) {
-    DetectorConfig config = BaseConfig();
-    config.cache_mode = mode;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline)
-        << "cache mode " << CubeCacheModeToString(mode);
-  }
+  // Memo axis, at the counter level: the same pipeline with the memo on
+  // (the default options) and off (cache_capacity = 0).
+  EXPECT_EQ(RunWithCounterOptions(g.data, BaseConfig(), CubeCounter::Options()),
+            baseline)
+      << "memo on";
+  EXPECT_EQ(RunWithCounterOptions(g.data, BaseConfig(), MemoOff()), baseline)
+      << "memo off";
 
   // Cross terms: the axes compose — a scalar-kernel, all-array,
-  // multi-threaded, cache-off run still reproduces the baseline.
+  // multi-threaded, memo-off run still reproduces the baseline.
   {
     ScopedKernelOverride forced(KernelKind::kScalar);
     DetectorConfig config = BaseConfig();
     config.container_threshold = gen.num_points + 1;
     config.num_threads = 8;
-    config.cache_mode = CubeCacheMode::kOff;
-    EXPECT_EQ(RunAndSerialize(g.data, config), baseline);
+    EXPECT_EQ(RunWithCounterOptions(g.data, config, MemoOff()), baseline);
   }
   {
     ScopedKernelOverride forced(BestAvailableKernel());
     DetectorConfig config = BaseConfig();
     config.container_threshold = 0;
     config.num_threads = 2;
-    config.cache_mode = CubeCacheMode::kPrivate;
     EXPECT_EQ(RunAndSerialize(g.data, config), baseline);
   }
 }

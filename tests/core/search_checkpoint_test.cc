@@ -130,15 +130,20 @@ TEST(SearchCheckpointTest, SerializeParseRoundTripsExactly) {
 TEST(SearchCheckpointTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseCheckpoint("").ok());
   EXPECT_FALSE(ParseCheckpoint("not a checkpoint").ok());
-  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v3\nseed oops\n").ok());
+  EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v4\nseed oops\n").ok());
 }
 
 TEST(SearchCheckpointTest, ParseRejectsOldFormatVersion) {
-  // v1 files lack the per-restart `ops` tallies and v2 the widened
-  // counter_stats breakdown; checkpoints are short-lived scratch state,
-  // so old versions are rejected outright rather than migrated.
+  // v1 files lack the per-restart `ops` tallies, v2 the widened
+  // counter_stats breakdown, and v3 carries two counter_stats fields of
+  // the removed shared-cache path; checkpoints are short-lived scratch
+  // state, so old versions are rejected outright rather than migrated.
   EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v1\nseed 17\n").ok());
   EXPECT_FALSE(ParseCheckpoint("hido-checkpoint v2\nseed 17\n").ok());
+  const Result<EvolutionCheckpoint> v3 =
+      ParseCheckpoint("hido-checkpoint v3\nseed 17\n");
+  ASSERT_FALSE(v3.ok());
+  EXPECT_NE(v3.status().message().find("bad version"), std::string::npos);
 }
 
 TEST(SearchCheckpointTest, LoadMissingFileFails) {

@@ -115,26 +115,65 @@ TEST(CubeCounterTest, WholesaleClearOnFullIsAccounted) {
   EXPECT_EQ(counter.stats().cache_hits, 1u);
   // Every query is still served by exactly one path.
   const CubeCounter::Stats& s = counter.stats();
-  EXPECT_EQ(s.queries, s.cache_hits + s.shared_hits + s.prefix_counts +
-                           s.bitset_counts + s.posting_counts +
-                           s.naive_counts);
+  EXPECT_EQ(s.queries, s.cache_hits + s.bitset_counts +
+                           s.posting_counts + s.naive_counts);
 }
 
-TEST(CubeCounterTest, SharedModeBypassesPrivateCache) {
-  const GridModel grid = MakeGrid(300, 4, 3, 7);
-  SharedCubeCache cache;
-  CubeCounter::Options opts;
-  opts.shared_cache = &cache;
-  CubeCounter counter(grid, opts);
-  const std::vector<DimRange> conditions = {{0, 0}, {1, 1}};
-  const size_t first = counter.Count(conditions);
-  EXPECT_EQ(counter.Count(conditions), first);
-  EXPECT_EQ(counter.stats().cache_hits, 0u);
-  EXPECT_EQ(counter.stats().shared_hits, 1u);
-  // A second counter on the same cache reuses the first one's work.
-  CubeCounter other(grid, opts);
-  EXPECT_EQ(other.Count(conditions), first);
-  EXPECT_EQ(other.stats().shared_hits, 1u);
+// The determinism contract, as a property test: for randomized grids and
+// condition lists, Count is identical with the memo on, with a tiny
+// thrashing memo, and with it off — and each counter's serving-path stats
+// sum back to its queries.
+TEST(CubeCounterPropertyTest, CountsAgreeWithAndWithoutMemo) {
+  Rng rng(271);
+  for (int round = 0; round < 8; ++round) {
+    const size_t n = 100 + rng.UniformIndex(400);
+    const size_t d = 4 + rng.UniformIndex(5);
+    const size_t phi = 3 + rng.UniformIndex(4);
+    const GridModel grid = MakeGrid(n, d, phi, 1000 + round);
+
+    CubeCounter::Options tiny;
+    tiny.cache_capacity = 8;
+    CubeCounter::Options off;
+    off.cache_capacity = 0;
+    CubeCounter memo_counter(grid);
+    CubeCounter tiny_counter(grid, tiny);
+    CubeCounter off_counter(grid, off);
+
+    // Draw from a small pool of condition sets so revisits exercise the
+    // hit paths, not just cold misses.
+    std::vector<std::vector<DimRange>> pool;
+    for (int i = 0; i < 12; ++i) {
+      pool.push_back(RandomConditions(grid, 1 + rng.UniformIndex(4), rng));
+    }
+    for (int trial = 0; trial < 120; ++trial) {
+      const std::vector<DimRange>& conditions =
+          pool[rng.UniformIndex(pool.size())];
+      const size_t expected = off_counter.Count(conditions);
+      EXPECT_EQ(memo_counter.Count(conditions), expected);
+      EXPECT_EQ(tiny_counter.Count(conditions), expected);
+    }
+
+    for (const CubeCounter* counter :
+         {&memo_counter, &tiny_counter, &off_counter}) {
+      const CubeCounter::Stats& s = counter->stats();
+      EXPECT_EQ(s.queries, s.cache_hits + s.bitset_counts +
+                               s.posting_counts + s.naive_counts);
+    }
+    EXPECT_GT(memo_counter.stats().cache_hits, 0u);
+    EXPECT_GT(tiny_counter.stats().cache_clears, 0u);
+    EXPECT_EQ(off_counter.stats().cache_hits, 0u);
+  }
+}
+
+TEST(PackCubeKeyTest, SortsAndPacks) {
+  const CubeKey key = PackCubeKey({{3, 2}, {0, 1}, {2, 0}});
+  ASSERT_EQ(key.size(), 3u);
+  EXPECT_EQ(key[0], (uint64_t{0} << 32) | 1);
+  EXPECT_EQ(key[1], (uint64_t{2} << 32) | 0);
+  EXPECT_EQ(key[2], (uint64_t{3} << 32) | 2);
+  // Order-insensitive: any permutation packs to the same key.
+  EXPECT_EQ(key, PackCubeKey({{0, 1}, {2, 0}, {3, 2}}));
+  EXPECT_EQ(key, PackCubeKey({{2, 0}, {3, 2}, {0, 1}}));
 }
 
 TEST(CubeCounterTest, CoveredPointsMatchCount) {
@@ -198,9 +237,8 @@ TEST(CubeCounterTest, CountsAgreeAcrossContainerThresholds) {
   for (const CubeCounter* counter :
        {&bitmap_counter, &array_counter, &mixed_counter}) {
     const CubeCounter::Stats& s = counter->stats();
-    EXPECT_EQ(s.queries, s.cache_hits + s.shared_hits + s.prefix_counts +
-                             s.bitset_counts + s.posting_counts +
-                             s.naive_counts);
+    EXPECT_EQ(s.queries, s.cache_hits + s.bitset_counts +
+                             s.posting_counts + s.naive_counts);
   }
 }
 

@@ -159,15 +159,15 @@ TEST(NoRawMutexRule, ExactFileAllowlistDoesNotLeakToSiblings) {
       "no-raw-mutex"));
 }
 
-TEST(NoRawMutexRule, SharedCubeCacheStaysOnTheWrapper) {
-  // The concurrent cube cache is the newest heavily-locked component; it
-  // must keep using common::Mutex with zero escapes.
+TEST(NoRawMutexRule, ScoreServiceStaysOnTheWrapper) {
+  // The serving layer's model-swap lock is the repo's most contended
+  // component; it must keep using common::Mutex with zero escapes.
   const std::string clean =
-      "common::Mutex mu;\n"
-      "common::MutexLock lock(&mu);\n";
-  EXPECT_TRUE(LintContent("src/grid/shared_cube_cache.cc", clean).empty());
+      "Mutex publish_mu_;\n"
+      "MutexLock lock(publish_mu_);\n";
+  EXPECT_TRUE(LintContent("src/serve/score_service.cc", clean).empty());
   EXPECT_TRUE(HasRule(
-      LintContent("src/grid/shared_cube_cache.cc", "std::mutex mu_;\n"),
+      LintContent("src/serve/score_service.cc", "std::mutex mu_;\n"),
       "no-raw-mutex"));
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include "common/run_control.h"
 #include "common/string_util.h"
 #include "core/detector.h"
+#include "core/objective.h"
 #include "core/search_checkpoint.h"
 #include "data/generators/synthetic.h"
+#include "grid/cube_counter.h"
 #include "obs/telemetry.h"
 
 namespace hido {
@@ -26,15 +29,12 @@ namespace {
 // cube-counter per-worker caches restart cold and its strategy dispatch
 // depends on which worker claims a query, so their breakdowns move between
 // schedules while their total (counter.queries) does not. The whole
-// serving-path family (private hits, shared hits, prefix finishes,
-// evictions) and the shared-cache table's own statistics are variant for
-// the same reason.
+// serving-path family (memo hits, evictions) is variant for the same
+// reason.
 bool IsThreadVariant(const std::string& name) {
-  return name == "counter.cache_hits" || name == "counter.shared_hits" ||
-         name == "counter.prefix_counts" || name == "counter.bitset_counts" ||
+  return name == "counter.cache_hits" || name == "counter.bitset_counts" ||
          name == "counter.posting_counts" || name == "counter.naive_counts" ||
          name == "counter.cache_evictions" || name == "counter.cache_clears" ||
-         name.rfind("cube.cache.shared.", 0) == 0 ||
          // Configuration-variant, same contract section: the grid's
          // array/bitmap split follows the container threshold.
          name.rfind("grid.containers.", 0) == 0;
@@ -67,12 +67,13 @@ std::string SerializeReport(const OutlierReport& report) {
 
 // Runs one full detection at `threads` workers against a clean registry
 // and returns the serialized thread-invariant counter + histogram
-// sections.
+// sections. With `counter_options` set, Detect's evolutionary pipeline
+// runs spelled out at the counter level with those CubeCounter options
+// instead (Detect always runs the memo), so the memo can be switched off.
 std::string DetectAndSerializeInvariantSections(
-    const Dataset& data, size_t threads,
-    CubeCacheMode cache_mode = CubeCacheMode::kPrivate,
-    std::string* report_bytes = nullptr,
-    size_t container_threshold = GridModel::kAutoArrayThreshold) {
+    const Dataset& data, size_t threads, std::string* report_bytes = nullptr,
+    size_t container_threshold = GridModel::kAutoArrayThreshold,
+    const CubeCounter::Options* counter_options = nullptr) {
   MetricsRegistry::Global().ResetForTest();
   Tracer::Global().Reset();
 
@@ -86,11 +87,29 @@ std::string DetectAndSerializeInvariantSections(
   config.evolution.restarts = 2;
   config.seed = 29;
   config.num_threads = threads;
-  config.cache_mode = cache_mode;
   config.container_threshold = container_threshold;
-  const DetectionResult result = OutlierDetector(config).Detect(data);
-  EXPECT_TRUE(result.completed);
-  if (report_bytes != nullptr) *report_bytes = SerializeReport(result.report);
+  OutlierReport report;
+  if (counter_options == nullptr) {
+    DetectionResult result = OutlierDetector(config).Detect(data);
+    EXPECT_TRUE(result.completed);
+    report = std::move(result.report);
+  } else {
+    GridModel::Options grid_options;
+    grid_options.phi = config.phi;
+    grid_options.array_threshold = container_threshold;
+    const GridModel grid = GridModel::Build(data, grid_options);
+    CubeCounter counter(grid, *counter_options);
+    SparsityObjective objective(counter);
+    EvolutionaryOptions eopts = config.evolution;
+    eopts.target_dim = config.target_dim;
+    eopts.num_projections = config.num_projections;
+    eopts.seed = config.seed;
+    eopts.num_threads = threads;
+    EvolutionResult search = EvolutionarySearch(objective, eopts);
+    EXPECT_TRUE(search.stats.completed);
+    report = ExtractOutliers(grid, std::move(search.best));
+  }
+  if (report_bytes != nullptr) *report_bytes = SerializeReport(report);
 
   RunTelemetry telemetry = CaptureRunTelemetry("invariance test");
   RunTelemetry filtered;
@@ -124,27 +143,33 @@ TEST(TelemetryInvarianceTest, InvariantCountersAreByteIdenticalAcrossThreads) {
   EXPECT_NE(at_one.find("search.restart_generations"), std::string::npos);
 }
 
-// The shared-cache acceptance criterion: the outlier report and the
-// invariant telemetry sections are byte-identical for every cache mode ×
-// thread count combination — memoization changes which code path computes
-// a count, never its value.
+// The memo acceptance criterion: the outlier report and the invariant
+// telemetry sections are byte-identical with the cube-count memo on and
+// off (cache_capacity = 0) at every thread count — memoization changes
+// which code path computes a count, never its value.
 TEST(TelemetryInvarianceTest,
      ReportAndInvariantCountersAreIdenticalAcrossCacheModes) {
   const Dataset data = GenerateUniform(300, 8, 13);
+  std::string detect_report;
+  DetectAndSerializeInvariantSections(data, 1, &detect_report);
+  ASSERT_FALSE(detect_report.empty());
+  CubeCounter::Options memo_on;
   std::string baseline_report;
   const std::string baseline = DetectAndSerializeInvariantSections(
-      data, 1, CubeCacheMode::kPrivate, &baseline_report);
-  ASSERT_FALSE(baseline_report.empty());
-  for (const CubeCacheMode mode :
-       {CubeCacheMode::kPrivate, CubeCacheMode::kShared, CubeCacheMode::kOff}) {
+      data, 1, &baseline_report, GridModel::kAutoArrayThreshold, &memo_on);
+  EXPECT_EQ(baseline_report, detect_report);
+  CubeCounter::Options memo_off;
+  memo_off.cache_capacity = 0;
+  for (const CubeCounter::Options* options : {&memo_on, &memo_off}) {
+    const char* memo = options == &memo_on ? "on" : "off";
     for (const size_t threads : {1u, 2u, 8u}) {
       std::string report;
-      const std::string sections =
-          DetectAndSerializeInvariantSections(data, threads, mode, &report);
-      EXPECT_EQ(sections, baseline)
-          << "mode=" << CubeCacheModeToString(mode) << " threads=" << threads;
-      EXPECT_EQ(report, baseline_report)
-          << "mode=" << CubeCacheModeToString(mode) << " threads=" << threads;
+      const std::string sections = DetectAndSerializeInvariantSections(
+          data, threads, &report, GridModel::kAutoArrayThreshold, options);
+      EXPECT_EQ(sections, baseline) << "memo=" << memo
+                                    << " threads=" << threads;
+      EXPECT_EQ(report, baseline_report) << "memo=" << memo
+                                         << " threads=" << threads;
     }
   }
 }
@@ -157,8 +182,8 @@ TEST(TelemetryInvarianceTest,
      ReportAndInvariantCountersAreIdenticalAcrossKernelsAndContainers) {
   const Dataset data = GenerateUniform(300, 8, 13);
   std::string baseline_report;
-  const std::string baseline = DetectAndSerializeInvariantSections(
-      data, 1, CubeCacheMode::kPrivate, &baseline_report);
+  const std::string baseline =
+      DetectAndSerializeInvariantSections(data, 1, &baseline_report);
   ASSERT_FALSE(baseline_report.empty());
   for (const KernelKind kind : AvailableKernels()) {
     const ScopedKernelOverride forced(kind);
@@ -167,7 +192,7 @@ TEST(TelemetryInvarianceTest,
       for (const size_t threads : {1u, 8u}) {
         std::string report;
         const std::string sections = DetectAndSerializeInvariantSections(
-            data, threads, CubeCacheMode::kShared, &report, threshold);
+            data, threads, &report, threshold);
         EXPECT_EQ(sections, baseline)
             << "kernel=" << KernelKindName(kind)
             << " threshold=" << threshold << " threads=" << threads;

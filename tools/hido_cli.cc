@@ -189,14 +189,6 @@ void AddSearchFlags(FlagParser& flags) {
                "worker threads for the search (0: all hardware threads); "
                "results are seed-deterministic for any value");
   flags.AddInt("seed", 42, "random seed");
-  flags.AddString("cache-mode", "shared",
-                  "cube-count memoization: shared (default; one concurrent "
-                  "table + prefix memo for all workers) | private "
-                  "(per-worker tables) | off; reports are bit-identical "
-                  "across modes");
-  flags.AddInt("cache-capacity", 0,
-               "cube cache entry budget for the selected --cache-mode "
-               "(0: mode default)");
   flags.AddInt("container-threshold", -1,
                "grid ranges with fewer members than this are stored as "
                "sorted-array containers instead of bitmaps (-1: auto, "
@@ -207,8 +199,8 @@ void AddSearchFlags(FlagParser& flags) {
                   "still reports its best-so-far projections");
   flags.AddInt("ensemble", 0,
                "run an E-member subspace ensemble instead of one search "
-               "(0: off); members share the grid and the cube cache and "
-               "results stay bit-identical across --threads/--cache-mode");
+               "(0: off); members share the grid and results stay "
+               "bit-identical across --threads");
   flags.AddString("combiner", "mean",
                   "ensemble score combiner: breadth-first | cumsum | max | "
                   "mean");
@@ -228,12 +220,6 @@ Status SearchConfigFromFlags(const FlagParser& flags,
   config->sparsity_target = flags.GetDouble("s");
   config->num_projections = static_cast<size_t>(flags.GetInt("m"));
   config->seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  if (!ParseCubeCacheMode(flags.GetString("cache-mode"),
-                          &config->cache_mode)) {
-    return Status::InvalidArgument("unknown --cache-mode");
-  }
-  config->cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache-capacity"));
   const int64_t container_threshold = flags.GetInt("container-threshold");
   config->container_threshold =
       container_threshold < 0 ? GridModel::kAutoArrayThreshold
@@ -416,8 +402,6 @@ int RunDetect(const std::vector<std::string>& args) {
         {"ensemble_mix", flags.GetString("ensemble-mix")},
         {"seed", static_cast<uint64_t>(config.seed)},
         {"threads", static_cast<uint64_t>(config.num_threads)},
-        {"cache_mode", CubeCacheModeToString(config.cache_mode)},
-        {"cache_capacity", static_cast<uint64_t>(config.cache_capacity)},
     };
     obs::TelemetryRow result_row{
         {"completed", result.completed},
@@ -524,8 +508,6 @@ int RunDetect(const std::vector<std::string>& args) {
       {"expectation", flags.GetString("expectation")},
       {"seed", static_cast<uint64_t>(config.seed)},
       {"threads", static_cast<uint64_t>(config.num_threads)},
-      {"cache_mode", CubeCacheModeToString(config.cache_mode)},
-      {"cache_capacity", static_cast<uint64_t>(config.cache_capacity)},
       {"resumed", config.evolution.resume != nullptr},
   };
   obs::TelemetryRow result_row{

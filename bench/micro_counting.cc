@@ -269,9 +269,11 @@ void BM_Ensemble(benchmark::State& state) {
 }
 BENCHMARK(BM_Ensemble)->Arg(1)->Arg(3)->Arg(5);
 
+// Args: rows, dims. 100k x 60 is the shape of perfbench's detect-100k.
 void BM_GridBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const Dataset data = GenerateUniform(n, 32, 11);
+  const size_t d = static_cast<size_t>(state.range(1));
+  const Dataset data = GenerateUniform(n, d, 11);
   GridModel::Options options;
   options.phi = 10;
   for (auto _ : state) {
@@ -280,7 +282,10 @@ void BM_GridBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_GridBuild)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_GridBuild)
+    ->Args({1000, 32})
+    ->Args({10000, 32})
+    ->Args({100000, 60});
 
 // Console output as usual, plus one telemetry row per finished benchmark.
 class CapturingReporter : public benchmark::ConsoleReporter {

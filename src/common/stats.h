@@ -70,6 +70,8 @@ double BinomialLowerTail(uint64_t n, double p, uint64_t k);
 
 /// Quantile (`q` in [0,1]) of `sorted_values`, which must be ascending and
 /// non-empty. Uses the inclusive linear-interpolation definition (type 7).
+/// Reads only ranks floor(q (n-1)) and its successor, so a vector with just
+/// those two ranks in place (e.g. by std::nth_element) gives the same result.
 double QuantileSorted(const std::vector<double>& sorted_values, double q);
 
 /// Mean of `values`; 0 for an empty vector.

@@ -36,45 +36,50 @@ Result<GridModel> GridModel::Build(const Dataset& data,
   model.num_points_ = data.num_rows();
   model.quantizer_ = Quantizer::Fit(data, qopts);
 
+  const size_t n = data.num_rows();
   const size_t d = data.num_cols();
   const size_t phi = options.phi;
   model.array_threshold_ = options.array_threshold == kAutoArrayThreshold
-                               ? data.num_rows() / 32
+                               ? n / 32
                                : options.array_threshold;
-  model.cells_.assign(d, std::vector<uint32_t>(data.num_rows()));
-  model.containers_.assign(d * phi, PostingContainer());
+  model.cells_.assign(d, std::vector<uint32_t>(n));
+  model.containers_.resize(d * phi);
 
   size_t array_containers = 0;
-  std::vector<std::vector<uint32_t>> range_ids(phi);
   for (size_t dim = 0; dim < d; ++dim) {
     if (stop != nullptr && stop->ShouldStop()) {
       return StopStatus(*stop, "grid build");
     }
-    for (auto& ids : range_ids) ids.clear();
-    for (size_t row = 0; row < data.num_rows(); ++row) {
+    // One pass assigns the cells and counts each range, so the id lists
+    // are allocated at their exact sizes and never grow.
+    const std::vector<double>& cuts = model.quantizer_.Cuts(dim);
+    const std::vector<double>& values = data.Column(dim);
+    std::vector<uint32_t>& cells = model.cells_[dim];
+    std::vector<size_t> counts(phi, 0);
+    for (size_t row = 0; row < n; ++row) {
       if (stop != nullptr && row % kPollStride == kPollStride - 1 &&
           stop->ShouldStop()) {
         return StopStatus(*stop, "grid build");
       }
-      if (data.IsMissing(row, dim)) {
-        model.cells_[dim][row] = kMissingCell;
-        continue;
-      }
-      const uint32_t cell = model.quantizer_.CellOf(dim, data.Get(row, dim));
-      model.cells_[dim][row] = cell;
-      range_ids[cell].push_back(static_cast<uint32_t>(row));
+      cells[row] = data.IsMissing(row, dim)
+                       ? kMissingCell
+                       : Quantizer::CellIn(cuts, values[row]);
+      if (cells[row] != kMissingCell) ++counts[cells[row]];
+    }
+    std::vector<std::vector<uint32_t>> ids(phi);
+    for (size_t cell = 0; cell < phi; ++cell) ids[cell].reserve(counts[cell]);
+    for (uint32_t row = 0; row < n; ++row) {
+      if (cells[row] != kMissingCell) ids[cells[row]].push_back(row);
     }
     // Rows were scanned ascending, so each range's ids arrive sorted and
     // the container choice is purely its cardinality vs. the threshold.
     for (uint32_t cell = 0; cell < phi; ++cell) {
-      PostingContainer container = PostingContainer::FromIds(
-          std::move(range_ids[cell]), data.num_rows(),
-          model.array_threshold_);
-      range_ids[cell] = {};
+      PostingContainer& container = model.containers_[dim * phi + cell];
+      container = PostingContainer::FromIds(std::move(ids[cell]), n,
+                                            model.array_threshold_);
       if (container.kind() == PostingContainer::Kind::kArray) {
         ++array_containers;
       }
-      model.containers_[dim * phi + cell] = std::move(container);
     }
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

@@ -72,18 +72,6 @@ class PostingContainer {
   /// All member ids, ascending.
   std::vector<uint32_t> ToIds() const;
 
-  /// The sorted id array. Precondition: kind() == kArray.
-  const std::vector<uint32_t>& array_ids() const {
-    HIDO_DCHECK(kind_ == Kind::kArray);
-    return ids_;
-  }
-
-  /// The bitmap. Precondition: kind() == kBitmap.
-  const DynamicBitset& bitmap() const {
-    HIDO_DCHECK(kind_ == Kind::kBitmap);
-    return bits_;
-  }
-
  private:
   Kind kind_ = Kind::kArray;
   size_t universe_ = 0;

@@ -8,6 +8,23 @@
 
 namespace hido {
 
+namespace {
+
+// Partially orders values[lo, hi) so that values[k] holds the k-th smallest
+// value for every k in the ascending, distinct ranks [first, last), all in
+// [lo, hi): a recursive nth_element multi-select, O(n log #ranks).
+void SelectRanks(std::vector<double>& values, size_t lo, size_t hi,
+                 const size_t* first, const size_t* last) {
+  if (first == last) return;
+  const size_t* mid = first + (last - first) / 2;
+  std::nth_element(values.begin() + lo, values.begin() + *mid,
+                   values.begin() + hi);
+  SelectRanks(values, lo, *mid, first, mid);
+  SelectRanks(values, *mid + 1, hi, mid + 1, last);
+}
+
+}  // namespace
+
 Quantizer Quantizer::Fit(const Dataset& data, const Options& options) {
   HIDO_CHECK_MSG(options.num_ranges >= 2, "phi must be >= 2 (got %zu)",
                  options.num_ranges);
@@ -21,22 +38,42 @@ Quantizer Quantizer::Fit(const Dataset& data, const Options& options) {
   q.col_max_.resize(data.num_cols());
 
   const size_t phi = options.num_ranges;
+  std::vector<double> present;  // one column's scratch, reused
+  std::vector<size_t> ranks;
   for (size_t c = 0; c < data.num_cols(); ++c) {
-    std::vector<double> present;
-    present.reserve(data.num_rows());
+    present.clear();
     for (size_t r = 0; r < data.num_rows(); ++r) {
       if (!data.IsMissing(r, c)) {
         present.push_back(data.Get(r, c));
       }
     }
     HIDO_CHECK_MSG(!present.empty(), "column %zu has no present values", c);
-    std::sort(present.begin(), present.end());
-    q.col_min_[c] = present.front();
-    q.col_max_[c] = present.back();
+    const auto minmax = std::minmax_element(present.begin(), present.end());
+    q.col_min_[c] = *minmax.first;
+    q.col_max_[c] = *minmax.second;
 
     std::vector<double>& cuts = q.cuts_[c];
     cuts.reserve(phi - 1);
     if (options.mode == BinningMode::kEquiDepth) {
+      // QuantileSorted(q) reads only rank floor(q (n-1)) and its successor,
+      // so putting those ranks in place yields the cuts a full sort gives.
+      const size_t n = present.size();
+      ranks.clear();
+      for (size_t i = 1; i < phi; ++i) {
+        ranks.push_back(static_cast<size_t>(static_cast<double>(i) /
+                                            static_cast<double>(phi) *
+                                            static_cast<double>(n - 1)));
+      }
+      // Levels ascend, so the ranks are sorted; drop repeats.
+      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+      SelectRanks(present, 0, n, ranks.data(), ranks.data() + ranks.size());
+      // A successor is the least value between its rank and the next one.
+      for (size_t j = 0; j < ranks.size(); ++j) {
+        const auto first = present.begin() + ranks[j] + 1;
+        const auto last =
+            present.begin() + (j + 1 < ranks.size() ? ranks[j + 1] : n);
+        if (first < last) std::iter_swap(first, std::min_element(first, last));
+      }
       for (size_t i = 1; i < phi; ++i) {
         cuts.push_back(QuantileSorted(
             present, static_cast<double>(i) / static_cast<double>(phi)));
@@ -50,7 +87,7 @@ Quantizer Quantizer::Fit(const Dataset& data, const Options& options) {
       }
     }
     // Breakpoints are non-decreasing by construction; enforce exactly so
-    // CellOf's binary search is well-defined under floating-point noise.
+    // the cell count of CellIn is well-defined under floating-point noise.
     for (size_t i = 1; i < cuts.size(); ++i) {
       if (cuts[i] < cuts[i - 1]) cuts[i] = cuts[i - 1];
     }
@@ -85,15 +122,7 @@ Quantizer Quantizer::FromCuts(const Options& options,
 
 uint32_t Quantizer::CellOf(size_t col, double value) const {
   HIDO_CHECK(col < cuts_.size());
-  const std::vector<double>& cuts = cuts_[col];
-  // Cell = number of breakpoints <= value; ties go to the higher cell so a
-  // breakpoint value is the *inclusive lower* bound of its cell.
-  const auto it = std::upper_bound(cuts.begin(), cuts.end(), value);
-  size_t cell = static_cast<size_t>(it - cuts.begin());
-  // upper_bound returns the first cut > value, i.e. the count of cuts <=
-  // value, which is already the cell index in [0, phi-1].
-  if (cell >= num_ranges_) cell = num_ranges_ - 1;
-  return static_cast<uint32_t>(cell);
+  return CellIn(cuts_[col], value);
 }
 
 std::pair<double, double> Quantizer::CellBounds(size_t col,

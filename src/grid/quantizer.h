@@ -61,6 +61,15 @@ class Quantizer {
   /// Cell index of `value` on column `col`, in [0, num_ranges).
   uint32_t CellOf(size_t col, double value) const;
 
+  /// The one cell rule (CellOf and GridModel::Build): the number of `cuts`
+  /// not above `value`, counted without branches. As std::upper_bound on
+  /// ascending cuts, a tie goes to the higher cell and NaN to the last.
+  static uint32_t CellIn(const std::vector<double>& cuts, double value) {
+    uint32_t cell = 0;
+    for (const double cut : cuts) cell += !(value < cut) ? 1u : 0u;
+    return cell;
+  }
+
   /// Half-open value interval [lo, hi) covered by a cell (the last cell's
   /// upper bound is +infinity conceptually; it is reported as the fitted
   /// column max). For interpretability output.

@@ -1,9 +1,11 @@
 #include "grid/grid_model.h"
 
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/run_control.h"
 #include "common/status.h"
 #include "data/generators/synthetic.h"
@@ -81,6 +83,63 @@ TEST(GridModelTest, ContainerRepresentationFollowsThreshold) {
   }
   EXPECT_EQ(dense.array_threshold(), 0u);
   EXPECT_EQ(sparse.array_threshold(), 257u);
+}
+
+// Oracle for the index: every container holds exactly the rows whose cell
+// it names, at thresholds {0, auto, n+1}, with and without missing values.
+// Columns are continuous, 3-value ties (empty ranges between tied cuts)
+// and skewed, so the auto threshold yields both kinds. n spans several
+// poll blocks of the build loop.
+TEST(GridModelTest, ContainersHoldExactlyTheRowsOfTheirCell) {
+  const size_t n = 9000;
+  const size_t phi = 7;
+  for (const bool with_missing : {false, true}) {
+    Rng rng(with_missing ? 31 : 37);
+    Dataset ds(3);
+    for (size_t r = 0; r < n; ++r) {
+      const double u = rng.UniformDouble();
+      ds.AppendRow({u, static_cast<double>(rng.UniformIndex(3)),
+                    u * u * u * u});
+    }
+    if (with_missing) {
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t c = 0; c < 3; ++c) {
+          if (rng.Bernoulli(0.15)) ds.SetMissing(r, c);
+        }
+      }
+    }
+    for (const size_t threshold :
+         {size_t{0}, GridModel::kAutoArrayThreshold, n + 1}) {
+      GridModel::Options opts;
+      opts.phi = phi;
+      opts.array_threshold = threshold;
+      const GridModel grid = GridModel::Build(ds, opts);
+      const size_t resolved =
+          threshold == GridModel::kAutoArrayThreshold ? n / 32 : threshold;
+      ASSERT_EQ(grid.array_threshold(), resolved);
+      for (size_t dim = 0; dim < 3; ++dim) {
+        std::vector<std::vector<uint32_t>> expected(phi);
+        for (size_t row = 0; row < n; ++row) {
+          const uint32_t cell = grid.Cell(row, dim);
+          if (ds.IsMissing(row, dim)) {
+            ASSERT_EQ(cell, GridModel::kMissingCell);
+            continue;
+          }
+          ASSERT_EQ(cell, grid.quantizer().CellOf(dim, ds.Get(row, dim)));
+          expected[cell].push_back(static_cast<uint32_t>(row));
+        }
+        for (uint32_t cell = 0; cell < phi; ++cell) {
+          const PostingContainer& c = grid.Container(dim, cell);
+          EXPECT_EQ(c.ToIds(), expected[cell])
+              << "dim " << dim << " cell " << cell;
+          EXPECT_EQ(grid.RangeCardinality(dim, cell), expected[cell].size());
+          EXPECT_EQ(c.kind(), expected[cell].size() < resolved
+                                  ? PostingContainer::Kind::kArray
+                                  : PostingContainer::Kind::kBitmap);
+        }
+      }
+    }
+  }
 }
 
 TEST(GridModelTest, AutoThresholdResolvesToRowsOver32) {
